@@ -58,6 +58,7 @@ def _cold_sweep(db, kernel: str):
         "cycles_simulated": backend.cycles_simulated,
         "cycles_extrapolated": backend.cycles_extrapolated,
         "runs_extrapolated": backend.runs_extrapolated,
+        "runs_fallback": backend.runs_fallback,
         "cycles_analytic": backend.cycles_analytic,
         "runs_analytic": backend.runs_analytic,
     }

@@ -12,6 +12,12 @@ event-driven kernel with steady-state extrapolation must be at least 5x
 faster than the seed loop on a cold sweep, while producing bit-identical
 characterizations (the identity is asserted here too; the exhaustive
 equality suite is tests/test_sim_differential.py).
+
+It is also a counter gate: before overwriting ``BENCH_sim_kernel.json``
+it reads the committed copy, and it fails if the event tier's
+``cycles_simulated`` went up — a deterministic count, unlike wall time
+— unless ``CHANGES.md`` has a note naming the increase as
+``bench_sim_kernel event cycles_simulated <old> -> <new>``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from repro.uarch.configs import get_uarch
 from conftest import RESULTS_DIR
 
 BENCH_JSON = RESULTS_DIR.parent / "BENCH_sim_kernel.json"
+CHANGES_MD = RESULTS_DIR.parent / "CHANGES.md"
 
 UARCH = "SKL"
 FORM_UIDS = [
@@ -59,12 +66,24 @@ def _cold_sweep(db, kernel: str, memo=None):
         "cycles_simulated": backend.cycles_simulated,
         "cycles_extrapolated": backend.cycles_extrapolated,
         "runs_extrapolated": backend.runs_extrapolated,
+        "runs_fallback": backend.runs_fallback,
         "memo_hits": backend.memo_hits,
         "memo_misses": backend.memo_misses,
     }
 
 
+def _committed_event_cycles():
+    """Event-tier ``cycles_simulated`` of the committed BENCH file."""
+    try:
+        return json.loads(BENCH_JSON.read_text())["event"][
+            "cycles_simulated"
+        ]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
 def test_kernel_speedup(db, tmp_path, emit):
+    committed = _committed_event_cycles()
     event_outcomes, event = _cold_sweep(db, "event")
     reference_outcomes, reference = _cold_sweep(db, "reference")
 
@@ -97,6 +116,17 @@ def test_kernel_speedup(db, tmp_path, emit):
         "memo_warm": {**warm, "hit_rate": round(hit_rate, 4)},
         "speedup": round(speedup, 2),
     }
+    # Counter gate, checked before the committed baseline is replaced.
+    cycles = event["cycles_simulated"]
+    if committed is not None and cycles > committed:
+        note = (
+            f"bench_sim_kernel event cycles_simulated {committed} -> {cycles}"
+        )
+        assert note in CHANGES_MD.read_text(), (
+            f"event-tier cycles_simulated rose from {committed} to "
+            f"{cycles}; explain it in CHANGES.md with a note "
+            f"containing {note!r}"
+        )
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     emit(

@@ -92,7 +92,8 @@ _STATS_LINES = (
      "{memo_hits} hits, {memo_misses} misses; "
      "kernel: {cycles_simulated} cycles simulated, "
      "{cycles_extrapolated} extrapolated ({runs_extrapolated} runs), "
-     "{cycles_analytic} analytic ({runs_analytic} runs)"),
+     "{cycles_analytic} analytic ({runs_analytic} runs), "
+     "{runs_fallback} full-length fallbacks"),
     ("executor",
      "{experiments_planned} planned, {experiments_deduped} deduped, "
      "{experiments_measured} measured in {batches_dispatched} batches; "

@@ -82,6 +82,10 @@ class RunStatistics:
     #: answered with no kernel run at all, and the cycles they cover.
     runs_analytic: int = 0
     cycles_analytic: int = 0
+    #: Unroll targets the extrapolator computed at full length because
+    #: extrapolation did not apply (divider bodies, or no steady-state
+    #: period survived the check) — the fallback, counted.
+    runs_fallback: int = 0
     #: Entries evicted from the backend's bounded in-process caches (see
     #: ``MeasurementConfig.max_cached_measurements``).
     cache_evictions: int = 0

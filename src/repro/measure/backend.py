@@ -120,10 +120,11 @@ class BackendStats(NamedTuple):
     cache_evictions: int
     runs_analytic: int = 0
     cycles_analytic: int = 0
+    runs_fallback: int = 0
 
     @classmethod
     def zero(cls) -> "BackendStats":
-        return cls(0, 0, 0, 0, 0, 0, 0, 0)
+        return cls(0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 class MeasurementBackend(Protocol):
@@ -197,6 +198,9 @@ class HardwareBackend:
         self.memo_misses = 0
         self.runs_extrapolated = 0
         self.cycles_extrapolated = 0
+        #: Unroll targets simulated in full because extrapolation did
+        #: not apply (divider body, or no period survived the check).
+        self.runs_fallback = 0
         #: Measure-level closed-form resolutions (the extrapolator's
         #: analytic fast path; core-level ones live on the core).
         self._runs_analytic = 0
@@ -235,6 +239,7 @@ class HardwareBackend:
             self.cache_evictions,
             self.runs_analytic,
             self.cycles_analytic,
+            self.runs_fallback,
         )
 
     def measure(
@@ -371,6 +376,7 @@ class HardwareBackend:
             self.cycles_extrapolated += stats.cycles_extrapolated
             self._runs_analytic += stats.runs_analytic
             self._cycles_analytic += stats.cycles_analytic
+            self.runs_fallback += stats.runs_fallback
             if runs is None:
                 runs = {}
                 self._run_memo[key] = runs

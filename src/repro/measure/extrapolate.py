@@ -24,21 +24,29 @@ older one.  The single exception is the non-pipelined divider, whose
 occupancy lets a younger µop (dispatched while the older's operands were
 still in flight) stall an older divider µop; divider forms therefore
 bypass extrapolation entirely (they are also the value-dependent case,
-Section 5.2.5, where periodicity itself is not guaranteed).  A period
-detected on the probe window is additionally *verified* before use: the
-probe is doubled (capped at the longest unroll target) and the periodic
-prediction must reproduce the longer probe's per-copy signatures
-exactly.  A transient whose deltas merely look periodic for a while —
-e.g. a reservation-station fill pattern that repeats until the window
-drains — fails the check, and detection restarts on the longer probe.
-When no period survives within the longest target the caller falls back
-to full simulation, so extrapolation is an optimization, never a
-semantic change.
+Section 5.2.5, where periodicity itself is not guaranteed).
+
+A period is found on a *detection window* of :data:`MIN_PROBE` copies
+and must survive a check before it is used: the periodic prediction has
+to reproduce, signature by signature, the copies that follow the window
+on a probe twice as long (capped at the longest unroll target).  By the
+prefix property the window is just the first copies of that longer
+probe, so each step of the check is one simulation, read twice — once
+as the detection prefix, once as the continuation.  A transient whose
+deltas merely look periodic for a while — e.g. a reservation-station
+fill pattern that repeats until the window drains — fails the check,
+and detection moves to the whole probe as the next, doubled window.
+Under the default unroll pair (5/25) the checked probe already covers
+the longest target, so every target is read as a prefix of one run.
+When no period survives below the longest target the caller falls back
+to full simulation of the longer targets (counted in
+:attr:`ExtrapolationStats.runs_fallback`), so extrapolation is an
+optimization, never a semantic change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,10 +62,12 @@ from repro.pipeline.core import (
 )
 from repro.uarch.uops import KIND_STORE_ADDR, KIND_STORE_DATA
 
-#: Minimum number of copies simulated by the instrumented probe.  Large
-#: enough that issue-rate transients (ROB/RS fill, SSE/AVX transition
-#: stalls on the first copies, move-elimination phase-in) have settled
-#: and a trailing window of clean periods is observable.
+#: Detection window: the smallest number of leading probe copies a
+#: period is detected on (the probe itself is up to twice as long, for
+#: the check).  Large enough that issue-rate transients (ROB/RS fill,
+#: SSE/AVX transition stalls on the first copies, move-elimination
+#: phase-in) have settled and a trailing window of clean periods is
+#: observable.
 MIN_PROBE = 18
 
 #: Longest per-copy period the detector searches for.
@@ -87,6 +97,19 @@ class ExtrapolationStats:
     runs_analytic: int = 0
     #: Cycles those closed-form answers cover.
     cycles_analytic: int = 0
+    #: Unroll targets given a full-length run of their own because
+    #: extrapolation did not apply: every target of a divider body, and
+    #: targets longer than the probe when no period survived the check.
+    runs_fallback: int = 0
+
+    def add(self, other: "ExtrapolationStats") -> None:
+        """Fold *other*'s counters into this one."""
+        for spec in fields(self):
+            setattr(
+                self,
+                spec.name,
+                getattr(self, spec.name) + getattr(other, spec.name),
+            )
 
 
 def _form_blockers(core: Core, instruction) -> Tuple[bool, bool]:
@@ -298,11 +321,8 @@ def _analytic_unrolled(
     memo = core.analytic_memo
     hit = memo.get(key)
     if hit is not None:
-        results, a_runs, a_cycles, e_runs, e_cycles = hit
-        stats.runs_analytic += a_runs
-        stats.cycles_analytic += a_cycles
-        stats.runs_extrapolated += e_runs
-        stats.cycles_extrapolated += e_cycles
+        results, delta = hit
+        stats.add(delta)
         return results
 
     uarch_ports = core.uarch.ports
@@ -356,16 +376,10 @@ def _analytic_unrolled(
             total_cycles=total_cycles,
         )
 
-    probe = build_probe(min(targets[-1], max(MIN_PROBE, targets[0] + 2)))
+    probe, timing_period = _verified_period(build_probe, targets)
 
     results: Dict[int, CounterValues] = {}
     beyond = [t for t in targets if t > probe.copies]
-    timing_period = None
-    if beyond:
-        probe, timing_period = _verified_period(
-            probe, build_probe, targets[-1]
-        )
-        beyond = [t for t in targets if t > probe.copies]
     if beyond and timing_period is None:
         # The schedule is not periodic within the probe window: extend
         # to each long target exactly (cost is O(µops), not O(cycles)).
@@ -393,12 +407,13 @@ def _analytic_unrolled(
                 instructions=t * block_len,
                 uops_fused=sum(templates[ti][2] for ti in order_t),
             )
-    a_runs = a_cycles = e_runs = e_cycles = 0
+    # So far *results* holds only the targets extended at full length.
+    delta = ExtrapolationStats(runs_fallback=len(results))
     if not closed_form:
         # The probe was simulated (array event kernel); only targets
         # served off its periodic tail count as extrapolated, matching
         # the event-probe path's accounting.
-        e_runs = sum(1 for t in beyond if t not in results)
+        delta.runs_extrapolated = sum(1 for t in beyond if t not in results)
     for t in targets:
         if t in results:
             continue
@@ -409,15 +424,14 @@ def _analytic_unrolled(
                 probe, timing_period, t, block_len, uarch_ports
             )
             if not closed_form:
-                e_cycles += results[t].cycles - probe.total_cycles
+                delta.cycles_extrapolated += (
+                    results[t].cycles - probe.total_cycles
+                )
     if closed_form:
-        a_runs = len(targets)
-        a_cycles = sum(int(results[t].cycles) for t in targets)
-    stats.runs_analytic += a_runs
-    stats.cycles_analytic += a_cycles
-    stats.runs_extrapolated += e_runs
-    stats.cycles_extrapolated += e_cycles
-    memo[key] = (results, a_runs, a_cycles, e_runs, e_cycles)
+        delta.runs_analytic = len(targets)
+        delta.cycles_analytic = sum(int(results[t].cycles) for t in targets)
+    stats.add(delta)
+    memo[key] = (results, delta)
     return results
 
 
@@ -455,44 +469,56 @@ def _detect_period(signatures: List[Tuple]) -> Optional[int]:
 
 
 def _continuation_matches(
-    probe: ProbeResult, period: int, bigger: ProbeResult
+    signatures: List[Tuple], copies: int, period: int
 ) -> bool:
-    """Does *probe*'s periodic tail predict *bigger*'s extra copies?"""
-    pattern = _signatures(probe)[probe.copies - period:]
-    signatures = _signatures(bigger)
+    """Does the periodic tail of the first *copies* signatures predict
+    every signature after them?"""
+    pattern = signatures[copies - period:copies]
     return all(
-        signatures[k] == pattern[(k - probe.copies) % period]
-        for k in range(probe.copies, bigger.copies)
+        signatures[k] == pattern[(k - copies) % period]
+        for k in range(copies, len(signatures))
     )
 
 
 def _verified_period(
-    probe: ProbeResult,
     make_probe: Callable[[int], ProbeResult],
-    limit: int,
+    targets: Sequence[int],
 ) -> Tuple[ProbeResult, Optional[int]]:
-    """Detect a period and require it to survive a doubled probe.
+    """Simulate the probe for sorted *targets* and find its checked period.
 
-    :func:`_detect_period` can be fooled by a transient whose per-copy
-    deltas are themselves periodic for a stretch — a reservation-station
-    fill pattern, say — before the true steady state appears.  A
-    candidate period is therefore accepted only if its periodic
-    prediction reproduces, signature by signature, a probe twice as
-    long; on a mismatch detection restarts on the longer probe.  Growth
-    is geometric and capped at ``limit`` (the longest unroll target),
-    where every target becomes an exact prefix and periodicity is moot.
+    When every target fits in the detection window (``max(MIN_PROBE,
+    smallest target + 2)`` copies, clamped to the longest target) one
+    probe of the longest target serves them all as prefixes.  Otherwise
+    each step simulates **one** probe of ``min(2n, longest)`` copies
+    for an ``n``-copy window, runs :func:`_detect_period` on its first
+    ``n`` signatures — by the prefix property exactly those of an
+    ``n``-copy probe — and checks the candidate against the remaining
+    copies.  The check exists because :func:`_detect_period` can be
+    fooled by a transient whose per-copy deltas are themselves periodic
+    for a stretch (a reservation-station fill pattern, say) before the
+    true steady state appears.  On a mismatch the whole probe becomes
+    the next window; growth stops at the longest target, where every
+    target is a prefix and periodicity is moot.
 
-    Returns ``(probe, period)``: the final — possibly grown — probe and
-    the verified period (``None`` when no period survived).
+    Returns ``(probe, period)``: the last probe simulated and the
+    checked period, ``None`` when no period was detected or none
+    survived (targets beyond the probe then need full simulation).
     """
+    limit = targets[-1]
+    window = min(limit, max(MIN_PROBE, targets[0] + 2))
+    if window == limit:
+        return make_probe(limit), None
     while True:
-        period = _detect_period(_signatures(probe))
-        if period is None or probe.copies >= limit:
+        probe = make_probe(min(2 * window, limit))
+        signatures = _signatures(probe)
+        period = _detect_period(signatures[:window])
+        if period is None or _continuation_matches(
+            signatures, window, period
+        ):
             return probe, period
-        bigger = make_probe(min(2 * probe.copies, limit))
-        if _continuation_matches(probe, period, bigger):
-            return bigger, period
-        probe = bigger
+        if probe.copies == limit:
+            return probe, None
+        window = probe.copies
 
 
 def _prefix_counters(
@@ -563,13 +589,15 @@ def unrolled_counters(
     With the analytic kernel the whole ladder is attempted first in
     closed form (:func:`_analytic_unrolled`): structural rename with a
     snapshot-proved period plus the analytic recurrence, no kernel run
-    at all.  Otherwise (or on analytic fallback) one instrumented probe
-    simulation serves every target either as an integer prefix of the
-    probe or by extrapolating the periodic steady state; each returned
-    :class:`CounterValues` is bit-identical to
+    at all.  Otherwise (or on analytic fallback) the instrumented probe
+    of :func:`_verified_period` — one simulation per check step, one in
+    all unless a check fails — serves every target either as an integer
+    prefix of the probe or by extrapolating the periodic steady state;
+    each returned :class:`CounterValues` is bit-identical to
     ``core.run(list(code) * t, init)``.  Falls back to full simulation
-    per target when extrapolation does not apply (reference kernel,
-    divider forms, no period surviving verification).
+    per target when extrapolation does not apply (reference kernel;
+    divider forms and targets beyond a probe with no checked period,
+    both counted in ``runs_fallback``).
     """
     stats = ExtrapolationStats()
     targets = sorted(set(targets))
@@ -586,34 +614,23 @@ def unrolled_counters(
         if analytic is not None:
             return analytic, stats
     if _uses_divider(core, code):
+        stats.runs_fallback += len(targets)
         return simulate_all(), stats
 
-    probe_copies = min(targets[-1], max(MIN_PROBE, targets[0] + 2))
-    probe = core.run_instrumented(code, probe_copies, init)
+    probe, period = _verified_period(
+        lambda n: core.run_instrumented(code, n, init), targets
+    )
     block_len = len(code)
     ports = core.uarch.ports
-
     results: Dict[int, CounterValues] = {}
-    beyond = [t for t in targets if t > probe_copies]
-    period = None
-    if beyond:
-        probe, period = _verified_period(
-            probe,
-            lambda n: core.run_instrumented(code, n, init),
-            targets[-1],
-        )
-        beyond = [t for t in targets if t > probe.copies]
-        if beyond and period is None:
-            # No steady state survived verification: simulate the long
-            # unrolls in full (the probe still serves the short ones as
-            # prefixes).
-            for t in beyond:
-                results[t] = core.run(list(code) * t, init)
     for t in targets:
-        if t in results:
-            continue
         if t <= probe.copies:
             results[t] = _prefix_counters(probe, t, block_len, ports)
+        elif period is None:
+            # No steady state survived the check: simulate the long
+            # unroll in full.
+            results[t] = core.run(list(code) * t, init)
+            stats.runs_fallback += 1
         else:
             counters = _extrapolated_counters(
                 probe, period, t, block_len, ports

@@ -7,24 +7,36 @@ every rung must (a) take the fallback it claims to take and (b) stay
 bit-identical to simulating each target outright.  Each edge gets a
 targeted test: reference-kernel opt-out, divider forms, store forms,
 sub-probe targets, undetected timing periods, rename-snapshot misses,
-recurrence aborts, and the structural memo.
+recurrence aborts, and the structural memo — plus the probe count of
+the period check and the fallback counter it feeds.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cli import _print_cache_stats
 from repro.core.codegen import independent_sequence, instantiate
+from repro.core.runner import RunStatistics
+from repro.isa.assembler import parse_instruction
 from repro.isa.database import load_default_database
 from repro.measure import extrapolate
+from repro.measure.backend import (
+    BackendStats,
+    HardwareBackend,
+    MeasurementConfig,
+)
 from repro.measure.extrapolate import (
     MIN_PROBE,
+    _continuation_matches,
+    _detect_period,
     _form_blockers,
+    _signatures,
     _uses_divider,
     _uses_stores,
     unrolled_counters,
 )
-from repro.pipeline.core import build_core
+from repro.pipeline.core import Core, build_core
 from repro.uarch.configs import get_uarch
 
 from tests.test_sim_differential import assert_identical
@@ -85,6 +97,7 @@ class TestDividerFallback:
         core, _results, stats = check_ladder("SKL", kernel, code, [2, 20])
         assert stats.runs_extrapolated == 0
         assert stats.runs_analytic == 0
+        assert stats.runs_fallback == 2
         assert core.cycles_simulated > 0
 
     def test_guard_sees_divider_anywhere_in_body(self):
@@ -116,6 +129,20 @@ class TestStoresFallback:
         assert not _uses_stores(core, _body("MOV_R64_M64"))
 
 
+@pytest.fixture
+def probe_sizes(monkeypatch):
+    """Spy on ``Core.run_instrumented``: the probe lengths simulated."""
+    sizes = []
+    original = Core.run_instrumented
+
+    def spy(self, code, copies, init=None):
+        sizes.append(copies)
+        return original(self, code, copies, init)
+
+    monkeypatch.setattr(Core, "run_instrumented", spy)
+    return sizes
+
+
 class TestShortProbes:
     """Targets below MIN_PROBE are prefixes of one short probe: no
     extrapolation, and the probe is clamped to the largest target."""
@@ -129,33 +156,133 @@ class TestShortProbes:
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
-    def test_probe_not_longer_than_largest_target(self):
+    def test_probe_not_longer_than_largest_target(self, probe_sizes):
         core = build_core(get_uarch("SKL"), kernel="event")
-        seen = {}
-        original = core.run_instrumented
-
-        def spy(code, copies, init=None):
-            seen["copies"] = copies
-            return original(code, copies, init)
-
-        core.run_instrumented = spy
         unrolled_counters(core, _body("ADD_R64_R64"), None, [3, 7])
-        assert seen["copies"] == 7
+        assert probe_sizes == [7]
+
+
+class TestProbeCount:
+    """The detection window is read as a prefix of the checking probe,
+    so every step of the check is a single simulation."""
+
+    def test_default_ladder_is_one_probe(self, probe_sizes):
+        _core, _results, stats = check_ladder(
+            "SKL", "event", _body("ADD_R64_R64"), [5, 25]
+        )
+        assert probe_sizes == [25]
+        assert stats.runs_extrapolated == 0
+
+    def test_verified_paper_ladder_is_one_probe(self, probe_sizes):
+        _core, _results, stats = check_ladder(
+            "SKL", "event", _body("ADD_R64_R64"), [10, 110]
+        )
+        assert probe_sizes == [2 * MIN_PROBE]
+        assert stats.runs_extrapolated == 1
+        assert stats.runs_fallback == 0
+
+    def test_failed_checks_simulate_each_size_once(
+        self, monkeypatch, probe_sizes
+    ):
+        monkeypatch.setattr(
+            extrapolate, "_continuation_matches", lambda *args: False
+        )
+        _core, _results, stats = check_ladder(
+            "SKL", "event", _body("ADD_R64_R64"), [10, 110]
+        )
+        assert probe_sizes == [36, 72, 110]
+        # The last probe covers the longest target: all prefixes.
+        assert stats.runs_extrapolated == 0
+        assert stats.runs_fallback == 0
+
+
+class TestCheckedTransient:
+    """A real catalog body whose detection window locks onto a transient.
+
+    ``CMPSB; MOVSX RDI, SI; MOV RSI, 7`` is the chain the latency
+    planner measures for CMPSB.  On SKL it retires a copy every 2 cycles
+    (ports rotating with period 4) for its first 29 copies, then settles
+    into 7 cycles per 4 copies.  The 18-copy window sees period 4 in
+    the transient; the check on copies 18-35 rejects it, the 36-copy
+    window finds no period, and the 110-copy target is simulated in full.
+
+    Bypassing the check would not change the counters for this body:
+    the 36-copy probe's tail already holds the new steady state, which
+    also has period 4.  So this pins that the check fires on a real
+    body and that the failed-check path stays exact.  It is not a
+    witness that the check is needed (no such body was found).
+    """
+
+    def _code(self):
+        return [
+            parse_instruction(text, DATABASE)
+            for text in ("CMPSB", "MOVSX RDI, SI", "MOV RSI, 7")
+        ]
+
+    def test_window_period_fails_check(self):
+        core = build_core(get_uarch("SKL"), kernel="event")
+        signatures = _signatures(
+            core.run_instrumented(self._code(), 2 * MIN_PROBE)
+        )
+        period = _detect_period(signatures[:MIN_PROBE])
+        assert period == 4
+        assert not _continuation_matches(signatures, MIN_PROBE, period)
+
+    @pytest.mark.parametrize(
+        "kernel, sizes",
+        # The analytic tier serves this body in closed form: no probes.
+        [("event", [36, 72]), ("analytic", [])],
+    )
+    def test_ladder_stays_exact(self, kernel, sizes, probe_sizes):
+        _core, _results, stats = check_ladder(
+            "SKL", kernel, self._code(), [10, 110]
+        )
+        assert probe_sizes == sizes
+        assert stats.runs_extrapolated == 0
+        assert stats.runs_fallback == 1
+
+
+class TestFallbackCounter:
+    """Full-length fallbacks reach RunStatistics and the stats report."""
+
+    def test_backend_snapshot_carries_fallbacks(self):
+        backend = HardwareBackend(get_uarch("SKL"), kernel="event")
+        backend.measure([instantiate(DATABASE.by_uid("DIV_R32"))])
+        assert backend.runs_fallback == 2  # both unroll targets
+        statistics = RunStatistics()
+        statistics.fold_snapshot(BackendStats.zero(), backend.stats_tuple())
+        assert statistics.runs_fallback == 2
+        assert statistics.as_dict()["runs_fallback"] == 2
+
+    def test_extrapolated_body_has_no_fallback(self):
+        backend = HardwareBackend(
+            get_uarch("SKL"), MeasurementConfig.paper(), kernel="event"
+        )
+        backend.measure(_body("ADD_R64_R64"))
+        assert backend.runs_extrapolated == 1
+        assert backend.runs_fallback == 0
+
+    def test_rendered_in_stats_lines(self, capsys):
+        _print_cache_stats(RunStatistics(runs_fallback=7))
+        assert "7 full-length fallbacks" in capsys.readouterr().err
 
 
 class TestNoPeriodFallback:
-    """When no timing period is detected the long targets are simulated
-    in full while the probe still serves the short ones."""
+    """When no timing period is detected, targets up to the simulated
+    probe length (twice the detection window, capped at the longest
+    target) are still prefixes of that probe; only the longer ones are
+    simulated in full — and counted as fallbacks."""
 
     def test_event_probe_falls_back(self, monkeypatch):
         monkeypatch.setattr(
             extrapolate, "_detect_period", lambda signatures: None
         )
         core, _results, stats = check_ladder(
-            "SKL", "event", _body("ADD_R64_R64"), [2, 30]
+            "SKL", "event", _body("ADD_R64_R64"), [2, 30, 60]
         )
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
+        assert stats.runs_fallback == 1  # 60; 30 is a probe prefix
 
     def test_analytic_extends_exactly(self, monkeypatch):
         """The closed form needs no timing period for its own probe —
@@ -165,9 +292,10 @@ class TestNoPeriodFallback:
             extrapolate, "_detect_period", lambda signatures: None
         )
         core, _results, stats = check_ladder(
-            "SKL", "analytic", _body("ADD_R64_R64"), [2, 30]
+            "SKL", "analytic", _body("ADD_R64_R64"), [2, 30, 60]
         )
-        assert stats.runs_analytic == len([2, 30])
+        assert stats.runs_analytic == len([2, 30, 60])
+        assert stats.runs_fallback == 1
         assert core.cycles_simulated == 0
 
 

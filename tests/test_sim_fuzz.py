@@ -16,10 +16,12 @@ strategies over
 * real-catalog experiment bodies (chains, parallel mixes, blocking-style
   bodies) through the full measure path,
 
-asserting exact equality across all three tiers on SKL and NHM.
+asserting exact equality across all three tiers on SKL and NHM — plus
+the probe prefix property that steady-state extrapolation rests on
+(a probe's first ``n`` copies equal an ``n``-copy probe).
 
 Budget: ``REPRO_FUZZ_EXAMPLES`` scales every strategy (default 100 →
-100 + 80 + 34 = 214 generated cases per microarchitecture; the CI
+100 + 80 + 34 + 34 = 248 generated cases per microarchitecture; the CI
 ``sim-fuzz`` job raises it).  Failures print a ``@reproduce_failure``
 blob (``print_blob``); run CI with ``--hypothesis-seed=random`` so the
 seed itself is printed too.
@@ -36,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core.codegen import independent_sequence, instantiate
 from repro.isa.database import load_default_database
 from repro.measure.backend import HardwareBackend
+from repro.measure.extrapolate import MIN_PROBE, _uses_divider
 from repro.pipeline.analytic import schedule_analytic
 from repro.pipeline.core import Core, _RUop
 from repro.pipeline.event_kernel import timing_event
@@ -362,6 +365,35 @@ class TestMeasureBodies:
             results["analytic"], results["event"],
             f"({uarch_name} measure body, analytic vs event)",
         )
+
+
+@pytest.mark.parametrize("uarch_name", UARCH_NAMES)
+class TestProbePrefix:
+    """The prefix property the steady-state check rests on: for
+    non-divider catalog bodies, the first ``n`` copies of a ``2n``-copy
+    instrumented probe equal an ``n``-copy probe field by field, on
+    both tiers that run probes."""
+
+    @given(data=st.data())
+    @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
+    def test_half_probe_is_prefix(self, uarch_name, data):
+        uarch = get_uarch(uarch_name)
+        guard = Core(uarch)
+        forms = [
+            form for form in _body_forms(uarch_name)
+            if not _uses_divider(guard, [instantiate(form)])
+        ]
+        body = data.draw(measure_bodies(forms), label="body")
+        n = data.draw(st.integers(1, MIN_PROBE), label="n")
+        for kernel in ("event", "analytic"):
+            core = Core(uarch, kernel=kernel)
+            short = core.run_instrumented(body, n)
+            long = core.run_instrumented(body, 2 * n)
+            where = f"({uarch_name} {kernel} x{n} of x{2 * n})"
+            assert long.finish[:n] == short.finish, where
+            assert long.ports[:n] == short.ports, where
+            assert long.uops[:n] == short.uops, where
+            assert long.fused[:n] == short.fused, where
 
 
 # ----------------------------------------------------------------------
