@@ -59,6 +59,7 @@ def _cold_sweep(db, kernel: str):
         "cycles_extrapolated": backend.cycles_extrapolated,
         "runs_extrapolated": backend.runs_extrapolated,
         "runs_fallback": backend.runs_fallback,
+        "runs_emulated": backend.runs_emulated,
         "cycles_analytic": backend.cycles_analytic,
         "runs_analytic": backend.runs_analytic,
     }

@@ -67,6 +67,7 @@ def _cold_sweep(db, kernel: str, memo=None):
         "cycles_extrapolated": backend.cycles_extrapolated,
         "runs_extrapolated": backend.runs_extrapolated,
         "runs_fallback": backend.runs_fallback,
+        "runs_emulated": backend.runs_emulated,
         "memo_hits": backend.memo_hits,
         "memo_misses": backend.memo_misses,
     }

@@ -93,7 +93,8 @@ _STATS_LINES = (
      "kernel: {cycles_simulated} cycles simulated, "
      "{cycles_extrapolated} extrapolated ({runs_extrapolated} runs), "
      "{cycles_analytic} analytic ({runs_analytic} runs), "
-     "{runs_fallback} full-length fallbacks"),
+     "{runs_fallback} full-length fallbacks, "
+     "{runs_emulated} emulated probes"),
     ("executor",
      "{experiments_planned} planned, {experiments_deduped} deduped, "
      "{experiments_measured} measured in {batches_dispatched} batches; "

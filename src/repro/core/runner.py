@@ -86,6 +86,11 @@ class RunStatistics:
     #: extrapolation did not apply (divider bodies, or no steady-state
     #: period survived the check) — the fallback, counted.
     runs_fallback: int = 0
+    #: Unroll ladders whose probe needed value-emulating rename because
+    #: the structural rename templates did not apply (stores, no
+    #: rename-state period within the snapshot budget, fusion/decoder
+    #: cores).
+    runs_emulated: int = 0
     #: Entries evicted from the backend's bounded in-process caches (see
     #: ``MeasurementConfig.max_cached_measurements``).
     cache_evictions: int = 0

@@ -46,11 +46,12 @@ class MeasurementConfig:
     repetitions; the defaults here are scaled down because the simulator is
     deterministic and cycle-exact, which the tests verify.
 
-    ``max_cached_measurements`` bounds the backend's two in-process
-    result stores (final per-copy averages and per-run unroll counters)
-    with LRU eviction, so a full-catalog sweep cannot grow memory without
-    limit.  It is a resource knob, not part of the measurement protocol:
-    persistent cache keys are derived from :meth:`protocol_fields` only.
+    ``max_cached_measurements`` bounds the backend's three in-process
+    result stores (final per-copy averages, per-run unroll counters, and
+    the core's rename-template memo) with LRU eviction, so a
+    full-catalog sweep cannot grow memory without limit.  It is a
+    resource knob, not part of the measurement protocol: persistent
+    cache keys are derived from :meth:`protocol_fields` only.
     """
 
     unroll_small: int = 5
@@ -121,10 +122,11 @@ class BackendStats(NamedTuple):
     runs_analytic: int = 0
     cycles_analytic: int = 0
     runs_fallback: int = 0
+    runs_emulated: int = 0
 
     @classmethod
     def zero(cls) -> "BackendStats":
-        return cls(0, 0, 0, 0, 0, 0, 0, 0, 0)
+        return cls(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 class MeasurementBackend(Protocol):
@@ -164,13 +166,16 @@ class HardwareBackend:
        :class:`~repro.core.cache.MeasurementMemo` (injected — typically
        by the sweep engine — so worker shards share the blocking/chain
        sub-measurements instead of each re-simulating them),
-    3. the simulator itself.  With the event kernel, both unroll factors
-       of Algorithm 2 are read off **one** instrumented probe run via
-       steady-state extrapolation
-       (:func:`~repro.measure.extrapolate.unrolled_counters`), and the
-       deterministic ``repeats``/warmup runs are collapsed analytically;
-       with ``REPRO_SIM=reference`` the seed measurement loop runs
-       verbatim.  Both paths return bit-identical counters.
+    3. the simulator itself.  On the fast kernels both unroll factors
+       of Algorithm 2 are read off **one** probe via steady-state
+       extrapolation (:func:`~repro.measure.extrapolate.unrolled_counters`):
+       a probe replayed from structural rename templates, shared by
+       every body of the same shape through the core's template memo,
+       or — for bodies with stores, or on the fusion/decoder cores — a
+       value-emulating instrumented run.  The deterministic
+       ``repeats``/warmup runs are collapsed analytically.  With
+       ``REPRO_SIM=reference`` the seed measurement loop runs verbatim.
+       All paths return bit-identical counters.
     """
 
     def __init__(
@@ -189,6 +194,10 @@ class HardwareBackend:
         #: Per-(code, init) full-run counters at each simulated unroll
         #: factor — the run-level memo that collapses repeats/warmup.
         self._run_memo = LRUDict(bound)
+        #: Rename templates -> unroll results, shared by every body of
+        #: one shape (see repro.measure.extrapolate._template_unrolled).
+        self._template_memo = LRUDict(bound)
+        self._core.template_memo = self._template_memo
         self.memo = memo
         #: Number of measure() invocations over the backend's lifetime.
         #: The sweep engine's tests use this to prove that a warm-cache
@@ -201,6 +210,9 @@ class HardwareBackend:
         #: Unroll targets simulated in full because extrapolation did
         #: not apply (divider body, or no period survived the check).
         self.runs_fallback = 0
+        #: Ladders whose probe needed value-emulating rename (stores,
+        #: rename-snapshot miss, fusion/decoder cores).
+        self.runs_emulated = 0
         #: Measure-level closed-form resolutions (the extrapolator's
         #: analytic fast path; core-level ones live on the core).
         self._runs_analytic = 0
@@ -226,7 +238,11 @@ class HardwareBackend:
 
     @property
     def cache_evictions(self) -> int:
-        return self._cache.evictions + self._run_memo.evictions
+        return (
+            self._cache.evictions
+            + self._run_memo.evictions
+            + self._template_memo.evictions
+        )
 
     def stats_tuple(self) -> BackendStats:
         """Snapshot of the perf counters RunStatistics aggregates."""
@@ -240,6 +256,7 @@ class HardwareBackend:
             self.runs_analytic,
             self.cycles_analytic,
             self.runs_fallback,
+            self.runs_emulated,
         )
 
     def measure(
@@ -377,6 +394,7 @@ class HardwareBackend:
             self._runs_analytic += stats.runs_analytic
             self._cycles_analytic += stats.cycles_analytic
             self.runs_fallback += stats.runs_fallback
+            self.runs_emulated += stats.runs_emulated
             if runs is None:
                 runs = {}
                 self._run_memo[key] = runs

@@ -15,6 +15,15 @@ The observation that a repeated basic block settles into a periodic
 steady state is the same one uops.info's own loop-based throughput
 protocol and PALMED's saturating-kernel design rely on.
 
+The rename stage settles too, and sooner.  On every fast kernel a body
+without stores or divider µops is renamed structurally (no value
+emulation) only until its rename state repeats; the renamed copies
+become relative templates that are replayed to build the probe's µop
+stream, and bodies that differ only in register choice share one
+result per core.  Only bodies the structural guards refuse pay for a
+value-emulating rename of every probe copy (see
+:func:`unrolled_counters` for the whole ladder).
+
 Everything here rests on the *prefix property* of the simulated core:
 counters observed at a copy boundary of a longer unroll equal the
 counters of simulating exactly that many copies.  Port binding is a pure
@@ -79,7 +88,7 @@ def _window(period: int) -> int:
 
 
 #: Copies structurally renamed while searching for a rename-state period
-#: (the analytic tier's probe budget; see :func:`_analytic_unrolled`).
+#: (the template path's rename budget; see :func:`_template_unrolled`).
 SNAPSHOT_BUDGET = 12
 
 
@@ -101,6 +110,11 @@ class ExtrapolationStats:
     #: extrapolation did not apply: every target of a divider body, and
     #: targets longer than the probe when no period survived the check.
     runs_fallback: int = 0
+    #: Ladders whose probe needed value-emulating rename because the
+    #: structural templates do not apply (stores, no rename-state
+    #: period within :data:`SNAPSHOT_BUDGET`, macro-fusion or decoder
+    #: cores).
+    runs_emulated: int = 0
 
     def add(self, other: "ExtrapolationStats") -> None:
         """Fold *other*'s counters into this one."""
@@ -153,8 +167,8 @@ def _uses_stores(core: Core, code: Sequence) -> bool:
     """Static guard: any µop of *code* writes memory.
 
     Stores make rename value-dependent (store-to-load forwarding keys on
-    effective addresses), so the structural-rename fast path refuses
-    them and leaves such bodies to the event-kernel probe.
+    effective addresses), so the rename templates refuse them and leave
+    such bodies to the value-emulating probe.
     """
     return any(_form_blockers(core, i)[1] for i in code)
 
@@ -261,24 +275,30 @@ def _synthesize(templates: List[Tuple], order: List[int]):
     return ports, lat, mins, deps, boundaries
 
 
-def _analytic_unrolled(
+def _template_unrolled(
     core: Core,
     code: Sequence,
     targets: Sequence[int],
     stats: "ExtrapolationStats",
 ) -> Optional[Dict[int, CounterValues]]:
-    """Serve every unroll target in closed form, or ``None`` to fall back.
+    """Serve every unroll target off replayed rename templates, or
+    ``None`` to fall back to the emulating probe.
 
     The plan: structurally rename the block copy by copy until two
     rename-state snapshots match (proof of exact periodicity), encode
-    the transient plus one period as relative templates, synthesize the
-    probe-length µop stream from them, and schedule it with the analytic
-    recurrence — no kernel run, no value emulation, and rename cost
-    bounded by :data:`SNAPSHOT_BUDGET` copies instead of the unroll
-    factor.  Guards: divider forms (value-dependent timing), stores
-    (value-dependent forwarding), and the fusion/decoder extensions
-    (front-end state not covered by the snapshot) all return ``None``,
-    as does a recurrence abort or a missing snapshot match.
+    the transient plus one period as relative templates, and synthesize
+    the probe-length µop stream from them — no value emulation, and
+    rename cost bounded by :data:`SNAPSHOT_BUDGET` copies instead of
+    the unroll factor.  The stream is scheduled by the array event
+    kernel; with the analytic kernel the closed-form recurrence is
+    tried first (no kernel run at all), falling back to the event
+    kernel on a recurrence abort.  Guards: divider forms
+    (value-dependent timing), stores (value-dependent forwarding), and
+    the fusion/decoder extensions (front-end state not covered by the
+    snapshot) all return ``None``, as does a missing snapshot match.
+
+    Bodies that rename to the same templates share one result through
+    ``core.template_memo``, so a shape is scheduled once per core.
 
     ``init`` register values are deliberately not consulted: under the
     guards above, values influence neither the dependence graph nor any
@@ -316,9 +336,9 @@ def _analytic_unrolled(
     # Structural memo: experiments that differ only in register choice
     # rename to identical relative templates, so the schedule (and every
     # derived counter) is shared.  Keyed per core, which also scopes it
-    # to one uarch/extension configuration.
+    # to one uarch/extension configuration and one kernel.
     key = (tuple(templates), transient, period, tuple(targets), block_len)
-    memo = core.analytic_memo
+    memo = core.template_memo
     hit = memo.get(key)
     if hit is not None:
         results, delta = hit
@@ -326,31 +346,37 @@ def _analytic_unrolled(
         return results
 
     uarch_ports = core.uarch.ports
-    closed_form = True
+    closed_form = core.kernel == KERNEL_ANALYTIC
 
-    def build_probe(n: int) -> ProbeResult:
-        """Synthesize and schedule an ``n``-copy probe off the templates."""
+    def schedule(order: List[int]) -> Tuple:
+        """(cycles, port counts, per-copy finishes, per-µop bound port)
+        of the synthesized stream for a template *order*."""
         nonlocal closed_form
-        order = _template_order(n, transient, period)
         arrays = _synthesize(templates, order)
         scheduled = (
             schedule_arrays(core.uarch, *arrays) if closed_form else None
         )
-        if scheduled is None:
-            # No closed form (a per-port ready-order inversion) — but
-            # the synthesized stream is still exact, so run it through
-            # the array event kernel: no value emulation, no µop
-            # objects, and rename still bounded by the snapshot budget.
-            closed_form = False
-            ports_a, lat_a, mins_a, deps_a, boundaries_a = arrays
-            total_cycles, _counts, finishes, bound_arr = timing_event_arrays(
-                core.uarch, ports_a, lat_a, mins_a, deps_a,
-                [0] * len(lat_a), boundaries_a,
-            )
-            core.cycles_simulated += total_cycles
-            bounds = [b if b >= 0 else None for b in bound_arr]
-        else:
-            total_cycles, _counts, finishes, bounds = scheduled
+        if scheduled is not None:
+            return scheduled
+        # Event kernel, or no closed form (a per-port ready-order
+        # inversion) — the synthesized stream is exact either way, so
+        # run it through the array event kernel: no value emulation, no
+        # µop objects, and rename still bounded by the snapshot budget.
+        closed_form = False
+        ports_a, lat_a, mins_a, deps_a, boundaries_a = arrays
+        cycles, counts, finishes, bound_arr = timing_event_arrays(
+            core.uarch, ports_a, lat_a, mins_a, deps_a,
+            [0] * len(lat_a), boundaries_a,
+        )
+        core.cycles_simulated += cycles
+        return cycles, counts, finishes, [
+            b if b >= 0 else None for b in bound_arr
+        ]
+
+    def build_probe(n: int) -> ProbeResult:
+        """Synthesize and schedule an ``n``-copy probe off the templates."""
+        order = _template_order(n, transient, period)
+        total_cycles, _counts, finishes, bounds = schedule(order)
 
         per_ports: List[Dict[int, int]] = []
         per_uops: List[int] = []
@@ -385,21 +411,7 @@ def _analytic_unrolled(
         # to each long target exactly (cost is O(µops), not O(cycles)).
         for t in beyond:
             order_t = _template_order(t, transient, period)
-            arrays_t = _synthesize(templates, order_t)
-            scheduled_t = (
-                schedule_arrays(core.uarch, *arrays_t)
-                if closed_form else None
-            )
-            if scheduled_t is not None:
-                cycles_t, counts_t = scheduled_t[0], scheduled_t[1]
-            else:
-                ports_t, lat_t, mins_t, deps_t, _bounds = arrays_t
-                cycles_t, counts_t, _f, _b = timing_event_arrays(
-                    core.uarch, ports_t, lat_t, mins_t, deps_t,
-                    [0] * len(lat_t),
-                )
-                core.cycles_simulated += cycles_t
-                closed_form = False
+            cycles_t, counts_t, _finishes, _bounds = schedule(order_t)
             results[t] = CounterValues(
                 cycles=cycles_t,
                 port_uops=counts_t,
@@ -586,18 +598,27 @@ def unrolled_counters(
 ) -> Tuple[Dict[int, CounterValues], ExtrapolationStats]:
     """Exact counters of ``code * t`` for every unroll factor in *targets*.
 
-    With the analytic kernel the whole ladder is attempted first in
-    closed form (:func:`_analytic_unrolled`): structural rename with a
-    snapshot-proved period plus the analytic recurrence, no kernel run
-    at all.  Otherwise (or on analytic fallback) the instrumented probe
-    of :func:`_verified_period` — one simulation per check step, one in
-    all unless a check fails — serves every target either as an integer
-    prefix of the probe or by extrapolating the periodic steady state;
-    each returned :class:`CounterValues` is bit-identical to
-    ``core.run(list(code) * t, init)``.  Falls back to full simulation
-    per target when extrapolation does not apply (reference kernel;
-    divider forms and targets beyond a probe with no checked period,
-    both counted in ``runs_fallback``).
+    One ladder on every fast kernel, each rung exact:
+
+    1. **Templates** (:func:`_template_unrolled`): structural rename of
+       a few copies with a snapshot-proved period, replayed as the
+       probe's µop stream and scheduled by the array event kernel (the
+       analytic kernel tries the closed-form recurrence first).  One
+       result per body shape, shared through ``core.template_memo``.
+    2. **Emulating probe**, for bodies the structural guards refuse
+       (stores, no snapshot match, fusion/decoder cores; counted in
+       ``runs_emulated``): :meth:`Core.run_instrumented` renames every
+       copy with value emulation.
+    3. **Full simulation** per target: divider forms, and targets beyond
+       a probe with no checked period (both counted in
+       ``runs_fallback``).
+
+    Both probes go through :func:`_verified_period` — one simulation
+    per check step, one in all unless a check fails — and serve every
+    target either as an integer prefix of the probe or by extrapolating
+    the periodic steady state; each returned :class:`CounterValues` is
+    bit-identical to ``core.run(list(code) * t, init)``.  The reference
+    kernel simulates every target in full.
     """
     stats = ExtrapolationStats()
     targets = sorted(set(targets))
@@ -609,14 +630,14 @@ def unrolled_counters(
 
     if not code or not targets or core.kernel == KERNEL_REFERENCE:
         return simulate_all(), stats
-    if core.kernel == KERNEL_ANALYTIC:
-        analytic = _analytic_unrolled(core, code, targets, stats)
-        if analytic is not None:
-            return analytic, stats
+    replayed = _template_unrolled(core, code, targets, stats)
+    if replayed is not None:
+        return replayed, stats
     if _uses_divider(core, code):
         stats.runs_fallback += len(targets)
         return simulate_all(), stats
 
+    stats.runs_emulated += 1
     probe, period = _verified_period(
         lambda n: core.run_instrumented(code, n, init), targets
     )

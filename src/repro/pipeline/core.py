@@ -205,9 +205,10 @@ class RenameContext:
 
     :meth:`Core.rename_block` folds instruction blocks into a context one
     block at a time, so a caller can observe (and snapshot) the rename
-    state at block boundaries — the analytic measure path uses this to
-    prove that an unrolled block's rename output is periodic without
-    renaming the whole unroll.
+    state at block boundaries — the measure layer's template path
+    (:func:`repro.measure.extrapolate.unrolled_counters`, on every fast
+    kernel) uses this to prove that an unrolled block's rename output is
+    periodic without renaming the whole unroll.
 
     ``emulate=False`` selects *structural* rename: architectural values
     are never computed (no :func:`~repro.pipeline.semantics.evaluate`
@@ -302,10 +303,11 @@ class Core:
         #: (only ever non-zero with ``kernel="analytic"``).
         self.runs_analytic = 0
         self.cycles_analytic = 0
-        #: Structural memo of the measure-level analytic fast path:
-        #: relative rename templates -> closed-form unroll results
-        #: (see repro.measure.extrapolate._analytic_unrolled).
-        self.analytic_memo: Dict = {}
+        #: Structural memo of the measure-level template path: relative
+        #: rename templates -> unroll results (see
+        #: repro.measure.extrapolate._template_unrolled).  Unbounded
+        #: here; HardwareBackend installs an LRU-bounded mapping.
+        self.template_memo: Dict = {}
         #: Per-form cache of the fast-path guards (divider / store µops),
         #: filled lazily by repro.measure.extrapolate.
         self.fastpath_blockers: Dict = {}
@@ -888,9 +890,11 @@ class Core:
         analytic kernel is selected and applies, event kernel
         otherwise), instrumented with per-copy retire cycles, port
         bindings, and µop counts.  The steady-state extrapolator reads
-        both unroll factors of Algorithm 2 off this single probe instead
-        of running separate simulations.  Unavailable with the reference
-        loop, which records no per-retirement boundaries.
+        both unroll factors of Algorithm 2 off this single probe for
+        bodies its structural rename templates cannot serve (stores,
+        fusion/decoder cores, no rename-state period within the
+        snapshot budget).  Unavailable with the reference loop, which
+        records no per-retirement boundaries.
         """
         if self.kernel == KERNEL_REFERENCE:
             raise RuntimeError(

@@ -87,9 +87,9 @@ def timing_event_arrays(
     """The scheduling loop proper, on parallel arrays indexed by µop id.
 
     Takes the same array layout as the analytic recurrence (see
-    :func:`repro.pipeline.analytic.extract_arrays`), so the measure-level
-    fast path can run synthesized streams that have no closed form
-    without materializing µop objects.  Additionally returns the
+    :func:`repro.pipeline.analytic.extract_arrays`), so the measure
+    layer's template path can run the µop streams it synthesizes from
+    rename templates without materializing µop objects.  Additionally returns the
     ``bound`` array (port id per µop, negative sentinels otherwise).
     """
     issue_width = uarch.issue_width

@@ -1,14 +1,16 @@
 """Unit tests for every fallback edge of the extrapolation tier ladder.
 
 :func:`repro.measure.extrapolate.unrolled_counters` serves unroll
-targets through a ladder — analytic closed form, instrumented event
-probe with periodic extrapolation, full per-target simulation — and
-every rung must (a) take the fallback it claims to take and (b) stay
-bit-identical to simulating each target outright.  Each edge gets a
-targeted test: reference-kernel opt-out, divider forms, store forms,
-sub-probe targets, undetected timing periods, rename-snapshot misses,
-recurrence aborts, and the structural memo — plus the probe count of
-the period check and the fallback counter it feeds.
+targets through a ladder — a probe replayed from structural rename
+templates (closed form on the analytic kernel), a value-emulating
+instrumented probe, full per-target simulation — and every rung must
+(a) take the fallback it claims to take and (b) stay bit-identical to
+simulating each target outright.  Each edge gets a targeted test:
+reference-kernel opt-out, divider forms, store forms (and a
+store-forwarding witness for that guard), sub-probe targets,
+undetected timing periods, rename-snapshot misses, recurrence aborts,
+and the bounded structural memo — plus the probe count of the period
+check and the fallback and emulation counters it feeds.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class TestDividerFallback:
 
 
 class TestStoresFallback:
-    """Stores make rename value-dependent: the closed form refuses and
-    the event probe takes over (extrapolation itself is still fine)."""
+    """Stores make rename value-dependent: the templates refuse and the
+    value-emulating probe takes over (extrapolation itself is still
+    fine)."""
 
     def test_analytic_tier_declines(self):
         code = _body("MOV_M64_R64")
@@ -120,6 +123,7 @@ class TestStoresFallback:
         )
         assert stats.runs_analytic == 0
         assert stats.cycles_analytic == 0
+        assert stats.runs_emulated == 1
         # The event probe still extrapolates the long target.
         assert stats.runs_extrapolated == 1
 
@@ -129,9 +133,59 @@ class TestStoresFallback:
         assert not _uses_stores(core, _body("MOV_R64_M64"))
 
 
+class TestStoreGuardWitness:
+    """Why the store guard exists: store-to-load forwarding keys on
+    effective addresses, which the templates never compute.
+
+    ``MOV [R8], R9; MOV R9, [R8]`` is a forwarding chain (151 cycles at
+    25 copies on SKL); renamed without values it looks like two
+    independent µop groups (29 cycles).  With ``[R10]`` as the load
+    address the chain exists only when ``init`` makes R8 and R10 alias.
+    The default tier must match the reference loop either way.
+    """
+
+    CHAIN = ("MOV qword ptr [R8], R9", "MOV R9, qword ptr [R8]")
+    SPLIT = ("MOV qword ptr [R8], R9", "MOV R9, qword ptr [R10]")
+
+    @pytest.mark.parametrize(
+        "texts, init",
+        [
+            (CHAIN, None),
+            (CHAIN, {"R8": 0x2000}),
+            (SPLIT, {"R8": 0x2000, "R10": 0x2000}),
+            (SPLIT, {"R8": 0x2000, "R10": 0x3000}),
+        ],
+        ids=["chain", "chain-moved", "split-alias", "split-apart"],
+    )
+    def test_default_tier_matches_reference(self, texts, init):
+        code = [parse_instruction(text, DATABASE) for text in texts]
+        _core, _results, stats = check_ladder(
+            "SKL", "event", code, [5, 25], init
+        )
+        assert stats.runs_emulated == 1
+
+
 @pytest.fixture
 def probe_sizes(monkeypatch):
-    """Spy on ``Core.run_instrumented``: the probe lengths simulated."""
+    """Spy on the probe lengths :func:`_verified_period` simulates —
+    template-replayed and value-emulating probes alike."""
+    sizes = []
+    original = extrapolate._verified_period
+
+    def spy(make_probe, targets):
+        def recording(copies):
+            sizes.append(copies)
+            return make_probe(copies)
+
+        return original(recording, targets)
+
+    monkeypatch.setattr(extrapolate, "_verified_period", spy)
+    return sizes
+
+
+@pytest.fixture
+def emulated_sizes(monkeypatch):
+    """Spy on ``Core.run_instrumented``: the value-emulating probes."""
     sizes = []
     original = Core.run_instrumented
 
@@ -156,28 +210,38 @@ class TestShortProbes:
         assert stats.runs_extrapolated == 0
         assert stats.cycles_extrapolated == 0
 
-    def test_probe_not_longer_than_largest_target(self, probe_sizes):
+    def test_probe_not_longer_than_largest_target(
+        self, probe_sizes, emulated_sizes
+    ):
         core = build_core(get_uarch("SKL"), kernel="event")
         unrolled_counters(core, _body("ADD_R64_R64"), None, [3, 7])
         assert probe_sizes == [7]
+        assert emulated_sizes == []  # replayed from rename templates
 
 
 class TestProbeCount:
     """The detection window is read as a prefix of the checking probe,
-    so every step of the check is a single simulation."""
+    so every step of the check is a single simulation — of a
+    template-replayed probe for store-free bodies, of a value-emulating
+    one for store bodies."""
 
-    def test_default_ladder_is_one_probe(self, probe_sizes):
+    def test_default_ladder_is_one_probe(self, probe_sizes, emulated_sizes):
         _core, _results, stats = check_ladder(
             "SKL", "event", _body("ADD_R64_R64"), [5, 25]
         )
         assert probe_sizes == [25]
+        assert emulated_sizes == []
         assert stats.runs_extrapolated == 0
+        assert stats.runs_emulated == 0
 
-    def test_verified_paper_ladder_is_one_probe(self, probe_sizes):
+    def test_verified_paper_ladder_is_one_probe(
+        self, probe_sizes, emulated_sizes
+    ):
         _core, _results, stats = check_ladder(
             "SKL", "event", _body("ADD_R64_R64"), [10, 110]
         )
         assert probe_sizes == [2 * MIN_PROBE]
+        assert emulated_sizes == []
         assert stats.runs_extrapolated == 1
         assert stats.runs_fallback == 0
 
@@ -193,6 +257,21 @@ class TestProbeCount:
         assert probe_sizes == [36, 72, 110]
         # The last probe covers the longest target: all prefixes.
         assert stats.runs_extrapolated == 0
+        assert stats.runs_fallback == 0
+
+    @pytest.mark.parametrize(
+        "targets, sizes",
+        [([5, 25], [25]), ([10, 110], [2 * MIN_PROBE])],
+    )
+    def test_store_ladder_is_one_emulated_probe(
+        self, targets, sizes, probe_sizes, emulated_sizes
+    ):
+        _core, _results, stats = check_ladder(
+            "SKL", "event", _body("MOV_M64_R64"), targets
+        )
+        assert probe_sizes == sizes
+        assert emulated_sizes == sizes
+        assert stats.runs_emulated == 1
         assert stats.runs_fallback == 0
 
 
@@ -230,14 +309,18 @@ class TestCheckedTransient:
 
     @pytest.mark.parametrize(
         "kernel, sizes",
-        # The analytic tier serves this body in closed form: no probes.
-        [("event", [36, 72]), ("analytic", [])],
+        # Both tiers replay the same templates through the same check;
+        # only the scheduler differs (closed form on the analytic tier).
+        [("event", [36, 72]), ("analytic", [36, 72])],
     )
-    def test_ladder_stays_exact(self, kernel, sizes, probe_sizes):
+    def test_ladder_stays_exact(
+        self, kernel, sizes, probe_sizes, emulated_sizes
+    ):
         _core, _results, stats = check_ladder(
             "SKL", kernel, self._code(), [10, 110]
         )
         assert probe_sizes == sizes
+        assert emulated_sizes == []
         assert stats.runs_extrapolated == 0
         assert stats.runs_fallback == 1
 
@@ -265,6 +348,65 @@ class TestFallbackCounter:
     def test_rendered_in_stats_lines(self, capsys):
         _print_cache_stats(RunStatistics(runs_fallback=7))
         assert "7 full-length fallbacks" in capsys.readouterr().err
+
+
+class TestEmulatedCounter:
+    """Ladders that needed value-emulating rename reach RunStatistics
+    and the stats report; template-served ones do not count."""
+
+    def test_backend_snapshot_carries_emulated(self):
+        backend = HardwareBackend(get_uarch("SKL"), kernel="event")
+        backend.measure(_body("MOV_M64_R64"))
+        backend.measure(_body("ADD_R64_R64"))
+        assert backend.runs_emulated == 1
+        statistics = RunStatistics()
+        statistics.fold_snapshot(BackendStats.zero(), backend.stats_tuple())
+        assert statistics.as_dict()["runs_emulated"] == 1
+
+    def test_rendered_in_stats_lines(self, capsys):
+        _print_cache_stats(RunStatistics(runs_emulated=3))
+        assert "3 emulated probes" in capsys.readouterr().err
+
+
+class TestTemplateMemoBound:
+    """The backend bounds the core's template memo like its other
+    in-process stores, and counts its evictions."""
+
+    def _bodies(self):
+        add = DATABASE.by_uid("ADD_R64_R64")
+        imul = DATABASE.by_uid("IMUL_R64_R64")
+        return [
+            independent_sequence(add, 2),
+            [instantiate(imul)] * 2,
+            independent_sequence(add, 3),
+            # Same shape as the first body, measured after its eviction.
+            independent_sequence(add, 2)[::-1],
+        ]
+
+    def test_bound_of_one_keeps_results_and_counts_evictions(self):
+        uarch = get_uarch("SKL")
+        bounded = HardwareBackend(
+            uarch, MeasurementConfig(max_cached_measurements=1),
+            kernel="event",
+        )
+        unbounded = HardwareBackend(
+            uarch, MeasurementConfig(max_cached_measurements=None),
+            kernel="event",
+        )
+        assert bounded._core.template_memo is bounded._template_memo
+        for body in self._bodies():
+            assert_identical(
+                bounded.measure(body), unbounded.measure(body),
+                "(template memo bound 1)",
+            )
+        assert len(bounded._template_memo) == 1
+        assert bounded._template_memo.evictions == 3
+        assert unbounded._template_memo.evictions == 0
+        assert bounded.cache_evictions == (
+            bounded._cache.evictions
+            + bounded._run_memo.evictions
+            + bounded._template_memo.evictions
+        )
 
 
 class TestNoPeriodFallback:
@@ -312,7 +454,7 @@ class TestSnapshotMiss:
         assert stats.runs_extrapolated == 1
         # The probe itself may still be scheduled by the analytic
         # kernel per run — but never as a closed-form unroll.
-        assert len(core.analytic_memo) == 0
+        assert len(core.template_memo) == 0
 
 
 class TestRecurrenceAbort:
@@ -344,9 +486,9 @@ class TestStructuralMemo:
         body_a = independent_sequence(form, 2)
         body_b = independent_sequence(form, 2)
         first, stats_a = unrolled_counters(core, body_a, None, [2, 40])
-        assert len(core.analytic_memo) == 1
+        assert len(core.template_memo) == 1
         second, stats_b = unrolled_counters(core, body_b, None, [2, 40])
-        assert len(core.analytic_memo) == 1  # same key: renamed alike
+        assert len(core.template_memo) == 1  # same key: renamed alike
         for t in (2, 40):
             assert_identical(first[t], second[t], f"(memo hit x{t})")
         assert stats_b.runs_analytic == stats_a.runs_analytic > 0
@@ -364,7 +506,7 @@ class TestStructuralMemo:
         unrolled_counters(
             core, [instantiate(form)] * 2, None, [2, 40]
         )
-        assert len(core.analytic_memo) == 2
+        assert len(core.template_memo) == 2
 
 
 class TestFormBlockerCache:

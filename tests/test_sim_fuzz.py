@@ -14,7 +14,8 @@ strategies over
   sets and latencies, divider value classes) injected into the ground
   truth entry cache, and
 * real-catalog experiment bodies (chains, parallel mixes, blocking-style
-  bodies) through the full measure path,
+  bodies) with drawn initial register values through the full measure
+  path,
 
 asserting exact equality across all three tiers on SKL and NHM — plus
 the probe prefix property that steady-state extrapolation rests on
@@ -37,6 +38,8 @@ from hypothesis import strategies as st
 
 from repro.core.codegen import independent_sequence, instantiate
 from repro.isa.database import load_default_database
+from repro.isa.operands import Memory, RegisterOperand
+from repro.isa.registers import RegisterClass
 from repro.measure.backend import HardwareBackend
 from repro.measure.extrapolate import MIN_PROBE, _uses_divider
 from repro.pipeline.analytic import schedule_analytic
@@ -340,11 +343,35 @@ def measure_bodies(draw, forms):
     return independent_sequence(form, 1) + independent_sequence(blocker, n)
 
 
+#: Initial register values for measure bodies: small and large divider
+#: operands, and a few addresses, so that base registers often alias.
+_INIT_VALUES = (0, 1, 3, 0xFFFF, 0x2000, 0x3000, 0xDEADBEEFCAFE)
+
+
+def _body_gprs(body):
+    """Canonical GPRs a body reads or writes, memory bases included."""
+    names = set()
+    for instruction in body:
+        for operand in instruction.operands:
+            if isinstance(operand, RegisterOperand):
+                registers = [operand.register]
+            elif isinstance(operand, Memory):
+                registers = [operand.base, operand.index]
+            else:
+                continue
+            names.update(
+                reg.canonical for reg in registers
+                if reg is not None and reg.reg_class == RegisterClass.GPR
+            )
+    return sorted(names)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("uarch_name", UARCH_NAMES)
 class TestMeasureBodies:
-    """HardwareBackend.measure: the tier ladder (analytic unroll,
-    event probe, reference loop) over generated catalog bodies."""
+    """HardwareBackend.measure: the tier ladder (rename templates,
+    emulating probe, reference loop) over generated catalog bodies and
+    initial register values (the templates never read them)."""
 
     @given(data=st.data())
     @settings(max_examples=max(_BUDGET // 3 + 1, 10), **_SETTINGS)
@@ -353,8 +380,16 @@ class TestMeasureBodies:
         body = data.draw(
             measure_bodies(_body_forms(uarch_name)), label="body"
         )
+        gprs = _body_gprs(body)
+        init = None
+        if gprs:
+            init = data.draw(st.one_of(st.none(), st.dictionaries(
+                st.sampled_from(gprs), st.sampled_from(_INIT_VALUES)
+            )), label="init")
         results = {
-            kernel: HardwareBackend(uarch, kernel=kernel).measure(body)
+            kernel: HardwareBackend(uarch, kernel=kernel).measure(
+                body, init
+            )
             for kernel in KERNELS
         }
         assert_identical(
